@@ -69,7 +69,7 @@ struct reclaim_membarriers {  // heavy barriers issued by scans/collects
     static constexpr const char* name = "reclaim.membarriers";
 };
 
-// --- epoch reclamation (reclaim/epoch.cpp) ------------------------------
+// --- epoch reclamation (reclaim/grace.cpp, EpochDomain policy) ----------
 struct epoch_retired {
     static constexpr const char* name = "epoch.retired";
 };
@@ -83,7 +83,7 @@ struct epoch_advances {
     static constexpr const char* name = "epoch.advances";
 };
 
-// --- quiescent-state reclamation (reclaim/qsbr.cpp) ---------------------
+// --- quiescent-state reclamation (reclaim/grace.cpp, QsbrDomain policy) -
 struct qsbr_retired {
     static constexpr const char* name = "qsbr.retired";
 };
@@ -202,10 +202,10 @@ struct spin_acquire_ns {  // lock() entry -> acquisition complete
 struct hp_scan_ns {  // one HazardDomain::scan(): the reclaim "stall"
     static constexpr const char* name = "hp.scan_ns";
 };
-struct epoch_collect_ns {  // one EpochDomain::collect()
+struct epoch_collect_ns {  // one collect() of the grace engine under EBR
     static constexpr const char* name = "epoch.collect_ns";
 };
-struct qsbr_collect_ns {  // one QsbrDomain::collect()
+struct qsbr_collect_ns {  // one collect() of the grace engine under QSBR
     static constexpr const char* name = "qsbr.collect_ns";
 };
 

@@ -55,6 +55,7 @@ enum class trace_ev : std::uint16_t {
     kStmCommit = 8,
     kStmAbort = 9,       // arg: abort cause ordinal
     kUser = 10,          // free for tests and experiments
+    kQsbrAdvance = 11,   // arg: the new interval
 };
 
 inline const char* trace_ev_name(trace_ev e) noexcept {
@@ -70,6 +71,7 @@ inline const char* trace_ev_name(trace_ev e) noexcept {
         case trace_ev::kStmCommit: return "stm_commit";
         case trace_ev::kStmAbort: return "stm_abort";
         case trace_ev::kUser: return "user";
+        case trace_ev::kQsbrAdvance: return "qsbr_advance";
     }
     return "unknown";
 }

@@ -53,7 +53,8 @@ class SynchronousDualQueue {
         Node* n = head_.load(std::memory_order_relaxed);
         while (n != nullptr) {
             Node* next = n->next.load(std::memory_order_relaxed);
-            delete n->item.load(std::memory_order_relaxed);
+            T* item = n->item.load(std::memory_order_relaxed);
+            if (item != taken()) delete item;
             delete n;
             n = next;
         }
@@ -179,8 +180,11 @@ class SynchronousDualQueue {
                     // Detach the value before consuming it: the node stays
                     // in the queue (often as the next sentinel), and the
                     // destructor frees any item still attached — leaving
-                    // the pointer in place would be a double free.
-                    reservation->item.store(nullptr,
+                    // the pointer in place would be a double free.  Leave
+                    // taken(), not nullptr: until head passes the node an
+                    // enqueuer may still find it, and a nullptr would let
+                    // it fulfil the node again and lose that value.
+                    reservation->item.store(taken(),
                                             std::memory_order_release);
                     Node* hh = head_.load(std::memory_order_acquire);
                     if (reservation ==
@@ -233,6 +237,13 @@ class SynchronousDualQueue {
     }
 
   private:
+    // A reservation's item once its waiter has taken the value: non-null,
+    // so no enqueuer can fulfil the node twice, and never dereferenced.
+    static T* taken() {
+        alignas(T) static char tag;
+        return reinterpret_cast<T*>(&tag);
+    }
+
     // Fulfillers hammer head_, appenders tail_: separate their lines.
     alignas(kCacheLineSize) tamp::atomic<Node*> head_;
     alignas(kCacheLineSize) tamp::atomic<Node*> tail_;

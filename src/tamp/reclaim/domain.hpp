@@ -178,55 +178,14 @@ struct hp {
     static constexpr const char* name() { return "hp"; }
 };
 
-// --------------------------------------------------------------- ebr ---
+// ------------------------------------------------------- ebr, qsbr ---
 
-/// Epoch-based reclamation: the guard pins the global epoch, making
-/// everything reachable during the operation safe to read; protection is
-/// a plain load.
-struct ebr {
-    static constexpr bool kProtects = false;
-
-    class guard {
-      public:
-        guard() { EpochDomain::global().enter(); }
-        ~guard() { EpochDomain::global().exit(); }
-        guard(const guard&) = delete;
-        guard& operator=(const guard&) = delete;
-
-        template <std::size_t I, typename AtomicPtr>
-        auto protect(const AtomicPtr& src) {
-            static_assert(I < kGuardSlots);
-            return src.load(std::memory_order_acquire);
-        }
-        template <std::size_t I, typename T>
-        void set(T*) {
-            static_assert(I < kGuardSlots);
-        }
-        template <std::size_t I>
-        void clear() {
-            static_assert(I < kGuardSlots);
-        }
-    };
-
-    static void retire(void* p, void (*deleter)(void*)) {
-        EpochDomain::global().retire(p, deleter);
-    }
-    template <typename T>
-    static void retire(T* p) {
-        epoch_retire(p);
-    }
-    static void quiescent() {}
-    static std::size_t pending() { return EpochDomain::global().pending(); }
-    static void drain() { EpochDomain::global().drain(); }
-    static constexpr const char* name() { return "ebr"; }
-};
-
-// -------------------------------------------------------------- qsbr ---
-
-/// Quiescent-state reclamation: the guard is thread-local nesting
-/// arithmetic (no store, no fence); the outermost guard exit reports a
-/// quiescence point once every QsbrDomain::kQuiescePeriod operations.
-struct qsbr {
+/// The two grace-period domains share one adapter: the guard holds the
+/// scheme's read-side section (ReadSection), which keeps everything
+/// reachable during the operation safe to read, so protection is a plain
+/// load.
+template <typename Domain, typename ReadSection>
+struct grace_period {
     static constexpr bool kProtects = false;
 
     class guard {
@@ -250,19 +209,31 @@ struct qsbr {
         }
 
       private:
-        QsbrReadGuard read_section_;
+        ReadSection read_section_;
     };
 
     static void retire(void* p, void (*deleter)(void*)) {
-        QsbrDomain::global().retire(p, deleter);
+        Domain::global().retire(p, deleter);
     }
     template <typename T>
     static void retire(T* p) {
-        qsbr_retire(p);
+        Domain::global().retire(p);
     }
+    static std::size_t pending() { return Domain::global().pending(); }
+    static void drain() { Domain::global().drain(); }
+};
+
+/// Epoch-based reclamation: the guard pins the global epoch.
+struct ebr : grace_period<EpochDomain, EpochGuard> {
+    static void quiescent() {}
+    static constexpr const char* name() { return "ebr"; }
+};
+
+/// Quiescent-state reclamation: the guard is thread-local nesting
+/// arithmetic (no store, no fence); the outermost guard exit reports a
+/// quiescence point once every QsbrDomain::kQuiescePeriod operations.
+struct qsbr : grace_period<QsbrDomain, QsbrReadGuard> {
     static void quiescent() { QsbrDomain::global().quiescent(); }
-    static std::size_t pending() { return QsbrDomain::global().pending(); }
-    static void drain() { QsbrDomain::global().drain(); }
     static constexpr const char* name() { return "qsbr"; }
 };
 

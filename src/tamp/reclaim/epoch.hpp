@@ -14,55 +14,45 @@
 // Trade-off vs hazard pointers, measured by `bench_reclaim`: EBR reads
 // are nearly free (one pin store per *operation*, not per node), but a
 // single stalled reader blocks reclamation globally; HP bounds garbage
-// per thread but publishes per pointer.  With the asymmetric-fence
-// protocol (tamp/reclaim/asym_fence.hpp) both pay only a release store
-// plus compiler barrier on the read side — the collector's membarrier
-// carries the store-load ordering — and retirement is thread-local:
-// nodes land in per-thread epoch-tagged buckets and are freed in batches
-// once the global epoch has advanced two past their tag, with no shared
-// lock on the retire path.
+// per thread but publishes per pointer.
+//
+// EpochDomain is the EBR policy of the grace-period engine (grace.hpp),
+// which retires, collects and publishes: a pin publishes the epoch, an
+// unpin stores the idle word, and threads register unpinned.
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 
-#include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/obs/events.hpp"
+#include "tamp/obs/trace.hpp"
+#include "tamp/reclaim/grace.hpp"
 
 namespace tamp {
 
-class EpochDomain {
+class EpochDomain : public GraceDomain<EpochDomain> {
   public:
-    /// Per-thread retirements between advance/collect attempts.
-    static constexpr std::size_t kCollectThreshold = 64;
-
-    static EpochDomain& global();
-
-    /// Pin/unpin the calling thread (prefer EpochGuard below).
+    /// Pin/unpin the calling thread (prefer EpochGuard below).  Pins
+    /// nest; only the outermost publishes and unpins.
     void enter();
     void exit();
 
-    /// Hand `p` to the domain; freed two epoch advances later.
-    void retire(void* p, void (*deleter)(void*));
+    std::uint64_t current_epoch() const { return counter(); }
 
-    /// Try to advance the global epoch and free safe buckets.
-    void collect();
-
-    /// Drain everything drainable — requires no thread pinned.  For tests
-    /// and phase boundaries in benchmarks.
-    void drain();
-
-    std::size_t pending() const;
-    std::uint64_t current_epoch() const;
-
-    /// Implementation record; opaque outside the .cpp.
-    struct Impl;
+    // Engine policy: telemetry, and new threads register unpinned.
+    using retired_ev = obs::ev::epoch_retired;
+    using freed_ev = obs::ev::epoch_freed;
+    using collects_ev = obs::ev::epoch_collects;
+    using advances_ev = obs::ev::epoch_advances;
+    using collect_ns_ev = obs::ev::epoch_collect_ns;
+    static constexpr obs::trace_ev kAdvanceTrace = obs::trace_ev::kEpochAdvance;
+    static constexpr std::uint64_t registered_word(std::uint64_t) {
+        return reclaim_detail::kIdle;
+    }
 
   private:
-    EpochDomain();
-    Impl* impl_;
+    friend class GraceDomain<EpochDomain>;
+    EpochDomain() = default;
 };
 
 /// RAII pin.  Operations on EBR-managed structures run inside one:
@@ -84,8 +74,7 @@ class EpochGuard {
 /// node is unreachable to any thread entering afterwards).
 template <typename T>
 void epoch_retire(T* p) {
-    EpochDomain::global().retire(p,
-                                 [](void* q) { delete static_cast<T*>(q); });
+    EpochDomain::global().retire(p);
 }
 
 }  // namespace tamp

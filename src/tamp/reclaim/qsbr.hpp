@@ -13,21 +13,10 @@
 // process-wide — the same stalled-reader hazard as EBR, but wider,
 // because it spans operations rather than one.
 //
-// The grace-period machinery is the three-bucket interval scheme of
-// tamp/reclaim/epoch.hpp with the pin replaced by an out-of-band counter:
-//
-//  * a global interval counter advances when every online thread has
-//    reported quiescence at the current interval (the straggler check);
-//  * quiescent() publishes the observed interval with a release store +
-//    compiler barrier; the collector's membarrier (asym_fence.hpp) makes
-//    all such publications visible before it judges stragglers — the
-//    identical asymmetric protocol EBR's pin uses, so where membarrier is
-//    unavailable quiescent() falls back to a seq_cst store;
-//  * retirement is thread-local into interval-tagged buckets, freed once
-//    the global interval has advanced two past their tag;
-//  * exiting threads unregister and orphan their buckets for later
-//    collects to adopt; parked threads go offline() so they stop gating
-//    grace periods.
+// QsbrDomain is the QSBR policy of the grace-period engine (grace.hpp):
+// a quiescence report publishes the interval, offline() stores the idle
+// word, and threads register quiescent at the current interval (a new
+// thread holds nothing, so it never stalls an older grace period).
 //
 // QsbrReadGuard is how structures templated on reclaim::domain consume
 // this: construction/destruction are thread-local nesting arithmetic, and
@@ -39,69 +28,18 @@
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "tamp/core/cacheline.hpp"
+#include "tamp/obs/events.hpp"
+#include "tamp/obs/trace.hpp"
+#include "tamp/reclaim/grace.hpp"
 
 namespace tamp {
 
-namespace qsbr_detail {
-
-struct QsbrRetiredNode {
-    void* ptr;
-    void (*deleter)(void*);
-};
-
-/// A batch of nodes all retired while the global interval had one value.
-struct QsbrBucket {
-    std::uint64_t interval = 0;
-    std::vector<QsbrRetiredNode> nodes;
-};
-
-/// Per-thread quiescence record.  `seen` is read by every collector;
-/// everything else is owner-only except pending_approx (owner-written,
-/// summed by pending()).  Construction registers the record online at the
-/// current interval; destruction unregisters and orphans any un-freed
-/// buckets.
-struct alignas(kCacheLineSize) QsbrRec {
-    std::atomic<std::uint64_t> seen{0};
-    std::uint32_t nesting = 0;           // read-guard depth
-    std::uint32_t ops_since_quiesce = 0;  // guard exits since last report
-    QsbrBucket buckets[3];
-    std::size_t since_collect = 0;
-    alignas(kCacheLineSize) std::atomic<std::size_t> pending_approx{0};
-
-    QsbrRec();
-    ~QsbrRec();
-    QsbrRec(const QsbrRec&) = delete;
-    QsbrRec& operator=(const QsbrRec&) = delete;
-
-    std::size_t local_pending() const {
-        return buckets[0].nodes.size() + buckets[1].nodes.size() +
-               buckets[2].nodes.size();
-    }
-};
-
-inline QsbrRec& qsbr_rec() {
-    thread_local QsbrRec rec;
-    return rec;
-}
-
-}  // namespace qsbr_detail
-
-class QsbrDomain {
+class QsbrDomain : public GraceDomain<QsbrDomain> {
   public:
-    /// Per-thread retirements between advance/collect attempts.
-    static constexpr std::size_t kCollectThreshold = 64;
     /// Guard exits between automatic quiescence reports (QsbrReadGuard).
     static constexpr std::uint32_t kQuiescePeriod = 64;
-    /// Sentinel interval for parked threads (offline()).
-    static constexpr std::uint64_t kOffline = ~std::uint64_t{0};
-
-    static QsbrDomain& global();
 
     /// Report a quiescence point: the calling thread holds no references
     /// into any QSBR-managed structure at this instant.  Registers the
@@ -113,29 +51,24 @@ class QsbrDomain {
     void offline();
 
     /// Resume gating (and count as quiescent at the current interval).
-    void online();
+    void online() { quiescent(); }
 
-    /// Hand `p` to the domain; freed two interval advances later.
-    void retire(void* p, void (*deleter)(void*));
+    std::uint64_t current_interval() const { return counter(); }
 
-    /// Try to advance the global interval and free safe buckets.
-    void collect();
-
-    /// Drain everything drainable.  Self-reports quiescence between
-    /// attempts, so the caller must hold no references; other registered
-    /// threads must be offline, exited, or quiescing for it to converge.
-    void drain();
-
-    std::size_t pending() const;
-    std::uint64_t current_interval() const;
-
-    /// Implementation record; opaque outside the .cpp.
-    struct Impl;
+    // Engine policy: telemetry, and new threads register quiescent.
+    using retired_ev = obs::ev::qsbr_retired;
+    using freed_ev = obs::ev::qsbr_freed;
+    using collects_ev = obs::ev::qsbr_collects;
+    using advances_ev = obs::ev::qsbr_advances;
+    using collect_ns_ev = obs::ev::qsbr_collect_ns;
+    static constexpr obs::trace_ev kAdvanceTrace = obs::trace_ev::kQsbrAdvance;
+    static constexpr std::uint64_t registered_word(std::uint64_t interval) {
+        return interval;
+    }
 
   private:
-    friend struct qsbr_detail::QsbrRec;
-    QsbrDomain();
-    Impl* impl_;
+    friend class GraceDomain<QsbrDomain>;
+    QsbrDomain() = default;
 };
 
 /// RAII read-side section for QSBR-parameterized structures.  The fast
@@ -145,7 +78,9 @@ class QsbrDomain {
 /// no references).  Guards nest; only the outermost counts an exit.
 class QsbrReadGuard {
   public:
-    QsbrReadGuard() : rec_(&qsbr_detail::qsbr_rec()) { ++rec_->nesting; }
+    QsbrReadGuard() : rec_(&reclaim_detail::rec<QsbrDomain>()) {
+        ++rec_->nesting;
+    }
 
     ~QsbrReadGuard() {
         if (--rec_->nesting == 0 &&
@@ -159,15 +94,14 @@ class QsbrReadGuard {
     QsbrReadGuard& operator=(const QsbrReadGuard&) = delete;
 
   private:
-    qsbr_detail::QsbrRec* rec_;
+    reclaim_detail::Rec<QsbrDomain>* rec_;
 };
 
 /// Retire with the default deleter (the node must already be unreachable
 /// to threads that quiesce after this call).
 template <typename T>
 void qsbr_retire(T* p) {
-    QsbrDomain::global().retire(p,
-                                [](void* q) { delete static_cast<T*>(q); });
+    QsbrDomain::global().retire(p);
 }
 
 }  // namespace tamp

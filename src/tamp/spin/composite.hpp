@@ -12,10 +12,11 @@
 // allocating a node per thread.
 //
 // The stamped tail is a 48-bit index + 16-bit stamp packed in one word
-// (tamp::AtomicStampedIndex); 2^16 recyclings between an observation and
-// its CAS would be needed to strike ABA, which the backoff makes
-// vanishingly unlikely (the same engineering judgement as the book's
-// 32-bit Java stamp).
+// (tamp::AtomicStampedIndex).  The stamp counts in its low 15 bits; the
+// top bit is CompositeFastPathLock's flag, which no increment may carry
+// into.  2^15 recyclings between an observation and its CAS would be
+// needed to strike ABA, which the backoff makes vanishingly unlikely (the
+// same engineering judgement as the book's 32-bit Java stamp).
 
 #pragma once
 
@@ -83,6 +84,15 @@ class CompositeLock {
     };
 
     static constexpr std::uint64_t kNone = (1ull << 48) - 1;
+    /// CompositeFastPathLock's flag: the stamp's top bit.
+    static constexpr std::uint16_t kFastPath = 1u << 15;
+
+    /// The stamp after one more tail update: the low 15 bits count (and
+    /// wrap), the fast-path flag is kept as it was.
+    static std::uint16_t next_stamp(std::uint16_t stamp) {
+        return static_cast<std::uint16_t>(((stamp + 1) & (kFastPath - 1)) |
+                                          (stamp & kFastPath));
+    }
 
     struct Timeout {};
 
@@ -134,7 +144,7 @@ class CompositeLock {
                         std::memory_order_acquire);
                 }
                 if (tail_.compare_and_set(curr_tail, my_pred, stamp,
-                                          static_cast<std::uint16_t>(stamp + 1))) {
+                                          next_stamp(stamp))) {
                     waiting_[node].value.state.store(
                         State::kWaiting, std::memory_order_release);
                     *out = node;
@@ -160,7 +170,7 @@ class CompositeLock {
                 return false;
             }
         } while (!tail_.compare_and_set(curr_tail, node, stamp,
-                                        static_cast<std::uint16_t>(stamp + 1)));
+                                        next_stamp(stamp)));
         *pred_out = curr_tail;
         return true;
     }
@@ -212,12 +222,10 @@ class CompositeLock {
 /// the queue, additionally wait for the flag to clear (the fast-path
 /// holder may still be inside the critical section).
 ///
-/// The flag lives in the stamp's top bit; ordinary stamp increments use
-/// the low 15 bits, matching the book's use of a high bit of its 32-bit
-/// Java stamp.
+/// The flag lives in the stamp's top bit; every stamp increment, fast or
+/// slow path, goes through next_stamp() and uses only the low 15 bits,
+/// matching the book's use of a high bit of its 32-bit Java stamp.
 class CompositeFastPathLock : public CompositeLock {
-    static constexpr std::uint16_t kFastPath = 1u << 15;
-
   public:
     using CompositeLock::CompositeLock;
 
@@ -244,9 +252,8 @@ class CompositeFastPathLock : public CompositeLock {
         const std::uint64_t t = tail_.get(&stamp);
         if (t != kNone) return false;             // queue not empty
         if ((stamp & kFastPath) != 0) return false;  // someone's in fast
-        const auto new_stamp = static_cast<std::uint16_t>(
-            ((stamp + 1) & (kFastPath - 1)) | kFastPath);
-        return tail_.compare_and_set(kNone, kNone, stamp, new_stamp);
+        return tail_.compare_and_set(kNone, kNone, stamp,
+                                     next_stamp(stamp) | kFastPath);
     }
 
     bool fast_path_unlock() {

@@ -339,4 +339,38 @@ TYPED_TEST(DomainAdapter, NameIsStable) {
     EXPECT_GT(std::char_traits<char>::length(n), 0u);
 }
 
+// ------------------------------------------------------ grace periods
+//
+// A deleter may retire further nodes: here each link of a chain retires
+// its successor when freed, so every link needs two more advances than
+// the one before.  One drain() must still reclaim the whole chain.
+
+template <typename D>
+struct ChainLink {
+    static inline int live = 0;
+    ChainLink* next;
+    explicit ChainLink(ChainLink* n) : next(n) { ++live; }
+    ~ChainLink() {
+        --live;
+        if (next != nullptr) D::retire(next);
+    }
+};
+
+template <typename D>
+class GraceDrain : public ::testing::Test {};
+
+using GraceDomains = ::testing::Types<reclaim::ebr, reclaim::qsbr>;
+TYPED_TEST_SUITE(GraceDrain, GraceDomains);
+
+TYPED_TEST(GraceDrain, DrainReclaimsChainedRetires) {
+    using D = TypeParam;
+    using Link = ChainLink<D>;
+    Link* head = nullptr;
+    for (int i = 0; i < 8; ++i) head = new Link(head);
+    D::retire(head);
+    D::drain();
+    EXPECT_EQ(Link::live, 0);
+    EXPECT_EQ(D::pending(), 0u);
+}
+
 }  // namespace

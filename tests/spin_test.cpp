@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "tamp/core/concepts.hpp"
@@ -292,6 +294,31 @@ TEST(CompositeFastPath, MixedFastAndSlowExclude) {
         }
     });
     EXPECT_EQ(counter, 20000);
+}
+
+TEST(CompositeFastPath, QueuePathStampNeverCarriesIntoFlag) {
+    // 40000 queue-path cycles bump the tail stamp past 2^15.  A bump that
+    // carries into the fast-path flag (the stamp's top bit) makes the
+    // next lock() wait forever for a fast-path holder that does not
+    // exist.  The cycles run on a helper thread so that a hang reports a
+    // failure instead of stalling the suite.
+    auto lock = std::make_shared<CompositeFastPathLock>();
+    std::promise<void> finished;
+    std::future<void> done = finished.get_future();
+    std::thread worker([lock, finished = std::move(finished)]() mutable {
+        for (int i = 0; i < 40000; ++i) {
+            lock->CompositeLock::lock();
+            lock->CompositeLock::unlock();
+        }
+        lock->lock();
+        lock->unlock();
+        finished.set_value();
+    });
+    if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+        worker.detach();  // stuck in lock(); the process exit reaps it
+        FAIL() << "lock() hung after 40000 queue-path acquisitions";
+    }
+    worker.join();
 }
 
 TEST(HCLHLockTest, ClusterMapping) {

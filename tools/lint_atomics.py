@@ -90,7 +90,7 @@ follow (see README "Correctness tooling"):
 
   direct-reclaim-include
                        an `#include` of a concrete reclamation backend
-                       (tamp/reclaim/{epoch,hazard_pointers,qsbr}.hpp)
+                       (tamp/reclaim/{epoch,grace,hazard_pointers,qsbr}.hpp)
                        from src/tamp/ outside src/tamp/reclaim/ itself.
                        Structures consume reclamation through the
                        reclaim::domain concept (tamp/reclaim/domain.hpp),
@@ -192,7 +192,7 @@ SPIN_PAUSE_RE = re.compile(
 # reclaim/ must include tamp/reclaim/domain.hpp (or reclaim.hpp) instead.
 RECLAIM_BACKEND_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"]tamp/reclaim/'
-    r'(?:epoch|hazard_pointers|qsbr)\.hpp[>"]')
+    r'(?:epoch|grace|hazard_pointers|qsbr)\.hpp[>"]')
 
 
 def in_reclaim_include_scope(path):
@@ -979,11 +979,12 @@ SELF_TEST_CASES = [
      "#include \"tamp/reclaim/epoch.hpp\"\n"
      "#include \"tamp/reclaim/hazard_pointers.hpp\"\n"
      "#include \"tamp/reclaim/qsbr.hpp\"\n"
+     "#include \"tamp/reclaim/grace.hpp\"\n"
      "#include \"tamp/reclaim/domain.hpp\"\n"
      "#include \"tamp/reclaim/reclaim.hpp\"\n"
      "#include \"tamp/reclaim/asym_fence.hpp\"\n",
      {(1, "direct-reclaim-include"), (2, "direct-reclaim-include"),
-      (3, "direct-reclaim-include")}),
+      (3, "direct-reclaim-include"), (4, "direct-reclaim-include")}),
 
     # Inside reclaim/ the backends may include each other freely.
     ("src/tamp/reclaim/internal.hpp",
