@@ -285,6 +285,10 @@ class StripedCuckooHashSet {
         for (const T& x : everything) sequential_place(x);
     }
 
+    // Written only by resize while it holds every stripe of both rows;
+    // operations read it under their own stripes.  resize()'s pre-lock
+    // read and capacity() read it unlocked, as the book's Java does.
+    // tamp-lint: allow(plain-shared-member)
     std::size_t capacity_;
     const std::size_t stripes_;  // fixed at construction
     std::vector<Padded<StripeCell>> locks_[2];

@@ -27,6 +27,7 @@
 #include "tamp/core/cacheline.hpp"
 #include "tamp/core/thread_registry.hpp"
 #include "tamp/lists/keyed.hpp"
+#include "tamp/sim/atomic.hpp"
 #include "tamp/spin/tas.hpp"
 
 namespace tamp {
@@ -44,8 +45,8 @@ struct HashTableCore {
     std::vector<std::vector<T>> table;
     // set_size is written by every add/remove; bucket_count only at
     // resize but read on every policy check — separate their lines.
-    alignas(kCacheLineSize) std::atomic<std::size_t> set_size{0};
-    alignas(kCacheLineSize) std::atomic<std::size_t> bucket_count;
+    alignas(kCacheLineSize) tamp::atomic<std::size_t> set_size{0};
+    alignas(kCacheLineSize) tamp::atomic<std::size_t> bucket_count;
 
     explicit HashTableCore(std::size_t capacity)
         : table(capacity), bucket_count(capacity) {}
@@ -291,8 +292,8 @@ class RefinableHashSet {
     };
 
     struct Acquired {
-        LockArray* array;
-        std::size_t index;
+        LockArray* const array;
+        const std::size_t index;
     };
 
     // `owner_` packs (thread id + 1) << 1 | mark.  mark set = a resize is
@@ -371,8 +372,8 @@ class RefinableHashSet {
 
     detail::HashTableCore<T, KeyOf> core_;
     // Every operation acquires through locks_ while resizers CAS owner_.
-    alignas(kCacheLineSize) std::atomic<LockArray*> locks_;
-    alignas(kCacheLineSize) std::atomic<std::uintptr_t> owner_{0};
+    alignas(kCacheLineSize) tamp::atomic<LockArray*> locks_;
+    alignas(kCacheLineSize) tamp::atomic<std::uintptr_t> owner_{0};
     std::vector<LockArray*> old_lock_arrays_;  // mutated only by resize owner
 };
 

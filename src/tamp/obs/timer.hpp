@@ -146,7 +146,9 @@ template <typename Tag, unsigned SampleShift = 0>
 class scoped_timer {
   public:
     using backend = stats_disabled_backend;
-    constexpr scoped_timer() noexcept = default;
+    // User-provided, not defaulted: GCC warns -Wunused-variable on every
+    // timer whose class has a trivial default constructor.
+    constexpr scoped_timer() noexcept {}
     scoped_timer(const scoped_timer&) = delete;
     scoped_timer& operator=(const scoped_timer&) = delete;
     static constexpr void cancel() noexcept {}

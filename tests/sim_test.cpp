@@ -30,6 +30,7 @@ TEST(Sim, RequiresTampSimBuild) {
 
 #include "tamp/check/recorder.hpp"
 #include "tamp/check/specs.hpp"
+#include "tamp/hash/split_ordered.hpp"
 #include "tamp/kv/split_ordered_map.hpp"
 #include "tamp/mutex/peterson.hpp"
 #include "tamp/queues/ms_queue.hpp"
@@ -786,6 +787,29 @@ TEST(SimKv, MapWithScansLinearizesUnderExploration) {
         a.join();
         b.join();
         sim::expect_linearizable<KvMapSpec>(rec);
+    });
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_GT(res.executions, 1);
+}
+
+// The set runs on the same split-ordered core and must survive the same
+// sentinel race: add(3) reaches bucket 1 through bucket 3's parent while
+// add(1) installs it directly.
+using SimSplitOrderedSet =
+    tamp::SplitOrderedHashSet<std::uint64_t, IdentityKeyOf, NullReclaim>;
+
+TEST(SimSplitOrderedSet, RacingLazyBucketInitsSeeFullyLinkedSentinels) {
+    sim::ExploreOptions opts;
+    opts.max_executions = 20000;
+    auto res = sim::explore(opts, [] {
+        SimSplitOrderedSet set(16);
+        sim::thread a([&] { set.add(3); });
+        sim::thread b([&] { set.add(1); });
+        a.join();
+        b.join();
+        sim::assert_always(set.contains(1) && set.contains(3),
+                           "a key vanished after the sentinel race");
+        sim::assert_always(set.size() == 2, "size() drifted");
     });
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_GT(res.executions, 1);
