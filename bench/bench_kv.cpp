@@ -100,8 +100,9 @@ TAMP_BENCH_THREADS(BM_Kv_ScanMixed_Zipf);
 TAMP_BENCH_THREADS(BM_Kv_ScanMixed_Uniform);
 
 // ---------------------------------------------------------------------
-// Open loop: producers submit into the MS-queue lanes, pool drainers
-// execute.  Sojourn (submit -> completion) is the published latency.
+// Open loop: producers submit into the bounded lanes, long-lived pool
+// drainers execute.  Sojourn (submit -> completion) is the published
+// latency.
 // ---------------------------------------------------------------------
 
 struct PipeRig {

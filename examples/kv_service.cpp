@@ -76,7 +76,7 @@ int main() {
                     va == vb ? "atomic" : "TORN");
     }
 
-    // --- 3. Open loop: producers -> MS-queue lanes -> pool drainers. ---
+    // --- 3. Open loop: producers -> bounded lanes -> pool drainers. ---
     banner("open loop: 2 producers into 2 lanes over the pool");
     {
         tamp::WorkStealingPool pool(2);

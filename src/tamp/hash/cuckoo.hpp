@@ -26,6 +26,7 @@
 
 #include "tamp/core/cacheline.hpp"
 #include "tamp/lists/keyed.hpp"
+#include "tamp/sim/atomic.hpp"
 
 namespace tamp {
 
@@ -40,11 +41,11 @@ class StripedCuckooHashSet {
 
     explicit StripedCuckooHashSet(std::size_t capacity = 16)
         : capacity_(round_up(capacity)),
-          stripes_(capacity_),
+          stripes_(round_up(capacity)),
           locks_{std::vector<Padded<StripeCell>>(stripes_),
                  std::vector<Padded<StripeCell>>(stripes_)} {
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        table_[0].assign(stripes_, {});
+        table_[1].assign(stripes_, {});
     }
 
     bool add(const T& v) {
@@ -110,7 +111,9 @@ class StripedCuckooHashSet {
         return present_unlocked(v);
     }
 
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const {
+        return capacity_.load(std::memory_order_relaxed);
+    }
 
   private:
     struct StripeCell {
@@ -133,7 +136,8 @@ class StripedCuckooHashSet {
     }
 
     std::size_t slot(int row, const T& v) const {
-        return (row == 0 ? hash0(v) : hash1(v)) % capacity_;
+        return (row == 0 ? hash0(v) : hash1(v)) %
+               capacity_.load(std::memory_order_relaxed);
     }
 
     /// Both stripes for v, row 0 first (global order ⇒ no deadlock).
@@ -226,12 +230,15 @@ class StripedCuckooHashSet {
     /// Quiesce by taking every stripe of both rows (row 0 first, matching
     /// TwoStripeGuard's order), then rebuild at double capacity.
     void resize() {
-        const std::size_t old_capacity = capacity_;
+        const std::size_t old_capacity =
+            capacity_.load(std::memory_order_relaxed);
         std::vector<std::unique_lock<std::recursive_mutex>> held;
         held.reserve(2 * stripes_);
         for (auto& cell : locks_[0]) held.emplace_back(cell.value.mu);
         for (auto& cell : locks_[1]) held.emplace_back(cell.value.mu);
-        if (capacity_ != old_capacity) return;  // someone else resized
+        if (capacity_.load(std::memory_order_relaxed) != old_capacity) {
+            return;  // someone else resized
+        }
         std::vector<T> everything;
         for (int row = 0; row < 2; ++row) {
             for (auto& set : table_[row]) {
@@ -239,9 +246,7 @@ class StripedCuckooHashSet {
                 set.clear();
             }
         }
-        capacity_ *= 2;
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        grow();
         for (const T& v : everything) {
             // Re-add under the held locks: direct placement, relocating
             // sequentially (we are alone).
@@ -271,25 +276,31 @@ class StripedCuckooHashSet {
         }
         // Degenerate hash behaviour: grow again and retry.
         // (Practically unreachable with the avalanche mixes above.)
-        std::vector<T> spill{item};
-        capacity_ *= 2;
-        std::vector<T> everything = std::move(spill);
+        std::vector<T> everything{item};
         for (int r = 0; r < 2; ++r) {
             for (auto& s : table_[r]) {
                 everything.insert(everything.end(), s.begin(), s.end());
                 s.clear();
             }
         }
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        grow();
         for (const T& x : everything) sequential_place(x);
+    }
+
+    /// Double the (emptied) tables.  Caller holds every stripe.
+    void grow() {
+        const std::size_t c = 2 * capacity_.load(std::memory_order_relaxed);
+        table_[0].assign(c, {});
+        table_[1].assign(c, {});
+        capacity_.store(c, std::memory_order_relaxed);
     }
 
     // Written only by resize while it holds every stripe of both rows;
     // operations read it under their own stripes.  resize()'s pre-lock
-    // read and capacity() read it unlocked, as the book's Java does.
-    // tamp-lint: allow(plain-shared-member)
-    std::size_t capacity_;
+    // read and capacity() read it with no stripe held, as the book's Java
+    // does, so it is atomic; relaxed suffices, because the stripes order
+    // every read that indexes the tables.
+    tamp::atomic<std::size_t> capacity_;
     const std::size_t stripes_;  // fixed at construction
     std::vector<Padded<StripeCell>> locks_[2];
     std::vector<std::vector<T>> table_[2];

@@ -94,7 +94,7 @@ class SplitOrderedMap {
         typename Domain::guard guard;
         sim::op_scope op("SplitOrderedMap::put");
         const std::uint64_t h = KeyOf{}(k);
-        const std::uint64_t so = detail::split_ordinary_key(h);
+        const std::uint64_t so = tamp::detail::split_ordinary_key(h);
         const std::size_t size = list_.buckets();
         Node* sentinel = list_.get_bucket(h % size);
         Node* node = nullptr;
@@ -134,7 +134,7 @@ class SplitOrderedMap {
         sim::op_scope op("SplitOrderedMap::get");
         const std::uint64_t h = KeyOf{}(k);
         Node* n = List::search(list_.get_bucket(h % list_.buckets()),
-                               detail::split_ordinary_key(h), k);
+                               tamp::detail::split_ordinary_key(h), k);
         if (n == nullptr) return std::nullopt;
         const V v = n->payload.load(std::memory_order_acquire);
         if (n->next.load().marked()) return std::nullopt;
@@ -146,7 +146,7 @@ class SplitOrderedMap {
         typename Domain::guard guard;
         sim::op_scope op("SplitOrderedMap::del");
         const std::uint64_t h = KeyOf{}(k);
-        const std::uint64_t so = detail::split_ordinary_key(h);
+        const std::uint64_t so = tamp::detail::split_ordinary_key(h);
         Node* sentinel = list_.get_bucket(h % list_.buckets());
         for (;;) {
             const auto w = list_.find(sentinel, so, k);

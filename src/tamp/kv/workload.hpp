@@ -20,15 +20,18 @@
 //     tracks completion rate (the classic bench shape; measures
 //     capacity).
 //
-//   * Open loop — producers push Request records into MS-queue lanes
-//     and work-stealing pool drainers execute them: offered load is set
-//     by the producers regardless of service rate, so queueing delay
-//     becomes visible.  Submit→completion time lands in the
-//     tamp.kv.sojourn_ns histogram — the service-level latency a closed
-//     loop structurally cannot show (coordinated omission).
+//   * Open loop — producers push Request records into bounded per-lane
+//     rings (Vyukov's per-cell sequence numbers over the book's circular
+//     array, Fig. 3.3 / §10.3) and long-lived drainer tasks on the
+//     work-stealing pool execute them: offered load is set by the
+//     producers regardless of service rate, so queueing delay becomes
+//     visible.  Submit→completion time lands in the tamp.kv.sojourn_ns
+//     histogram — the service-level latency a closed loop structurally
+//     cannot show (coordinated omission).
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -46,8 +49,8 @@
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
 #include "tamp/obs/timer.hpp"
-#include "tamp/queues/ms_queue.hpp"
-#include "tamp/reclaim/domain.hpp"
+#include "tamp/sim/atomic.hpp"
+#include "tamp/sim/shared.hpp"
 #include "tamp/steal/pool.hpp"
 
 namespace tamp::kv {
@@ -179,7 +182,8 @@ class Workload {
 
     ThreadState make_state(unsigned tid) const {
         return ThreadState{
-            XorShift64(detail::mix64(cfg_.seed ^ (0x10001ull * tid + 1))),
+            XorShift64(
+                tamp::detail::mix64(cfg_.seed ^ (0x10001ull * tid + 1))),
             {},
             // Private insert range per thread, above the preload range.
             (std::uint64_t{tid} << 32) | (std::uint64_t{1} << 62)};
@@ -264,19 +268,120 @@ class Workload {
     const ZipfianSampler zipf_;
 };
 
-/// Open-loop plumbing: MS-queue request lanes drained by work-stealing
-/// pool tasks.  Producers call submit() at whatever rate the experiment
-/// dictates; drainers execute against the store and stamp the sojourn
-/// (submit -> completion) into tamp.kv.sojourn_ns.
+namespace detail {
+
+/// One open-loop lane: a bounded multi-producer ring with one consumer at
+/// a time — the book's circular-array queue (Fig. 3.3, §10.3) with
+/// Vyukov's per-cell sequence numbers in place of its locks.  Cell
+/// `t % Capacity` is free for ticket t when its sequence reads t and
+/// holds t's value when it reads t + 1; freeing it stores t + Capacity,
+/// the ticket one lap ahead.  A producer takes its ticket with one
+/// fetch_add and never retries; the consumer uses loads and stores
+/// only.  Whoever consumes must receive the role through a
+/// release/acquire edge (Pipeline's per-lane flag): the cursor is a
+/// plain field.  The capacity is a parameter so the model checker can
+/// wrap the ring at 2 cells.
+template <typename T, std::size_t Capacity>
+class LaneRing {
+    static_assert(Capacity >= 2 && (Capacity & (Capacity - 1)) == 0,
+                  "capacity must be a power of two");
+
+  public:
+    LaneRing() {
+        for (std::size_t i = 0; i < Capacity; ++i) {
+            cells_[i].seq.store(i, std::memory_order_relaxed);
+        }
+    }
+
+    /// Any thread: take a ticket, wait until the consumer has freed the
+    /// cell a lap behind it, write, publish.
+    void push(const T& v) {
+        const std::uint64_t t = tail_.fetch_add(1, std::memory_order_relaxed);
+        Cell& c = cells_[t & kMask];
+        SpinWait w;
+        while (c.seq.load(std::memory_order_acquire) != t) w.spin();
+        c.value = v;
+        c.seq.store(t + 1, std::memory_order_release);
+    }
+
+    /// Consumer: the oldest value, or nullptr while its producer has not
+    /// published it (or nothing was pushed).  Valid until pop().
+    const tamp::shared<T>* front() const {
+        const std::uint64_t h = head_;
+        const Cell& c = cells_[h & kMask];
+        return c.seq.load(std::memory_order_acquire) == h + 1 ? &c.value
+                                                              : nullptr;
+    }
+
+    /// Consumer: hand front()'s cell to the ticket one lap ahead.
+    void pop() {
+        const std::uint64_t h = head_;
+        cells_[h & kMask].seq.store(h + Capacity, std::memory_order_release);
+        head_ = h + 1;
+    }
+
+    /// Consumer: copy the oldest value out, then free its cell.
+    bool try_pop(T& out) {
+        const tamp::shared<T>* v = front();
+        if (v == nullptr) return false;
+        out = *v;
+        pop();
+        return true;
+    }
+
+    /// Tickets taken so far (pushes begun, published or not).
+    std::uint64_t pushed() const {
+        return tail_.load(std::memory_order_acquire);
+    }
+
+  private:
+    static constexpr std::uint64_t kMask = Capacity - 1;
+
+    struct Cell {
+        tamp::atomic<std::uint64_t> seq{0};
+        tamp::shared<T> value{};
+    };
+
+    Cell cells_[Capacity];
+    alignas(kCacheLineSize) tamp::atomic<std::uint64_t> tail_{0};
+    alignas(kCacheLineSize) tamp::shared<std::uint64_t> head_{0};
+};
+
+}  // namespace detail
+
+/// Open-loop plumbing: bounded request lanes drained by long-lived
+/// work-stealing pool tasks.  Producers call submit() at whatever rate
+/// the experiment dictates; drainers execute against the store and stamp
+/// the sojourn (submit -> completion) into tamp.kv.sojourn_ns.
+///
+/// start() launches min(lanes, pool.workers()) drainers.  Each scans
+/// every lane from its home lane on, takes a lane through the lane's
+/// try-flag (which hands the ring's consumer role over), copies out up
+/// to kBatch requests and drops the flag before it runs them, so any
+/// ratio of lanes to workers drains every lane and a drainer stalled
+/// inside a request (preempted, page-faulting) holds no lane.  After
+/// the batch it adds the batch to the lane's completion count with a
+/// release RMW.  An idle drainer spins, then yields, through SpinWait;
+/// it never parks, which keeps submit() free of any wake-up check.
+///
+/// Contract:
+///   * a full lane (kLaneCapacity requests waiting) makes submit() wait
+///     for a free cell; an open-loop caller that times each request from
+///     its due time charges that wait to the request;
+///   * submit() must not be called from the pool's own workers;
+///   * between start() and stop() the pool's workers belong to the
+///     pipeline: the drainers hold them until stop().
 template <typename Store>
 class Pipeline {
   public:
     using K = typename Store::key_type;
     using V = typename Store::mapped_type;
 
+    static constexpr std::size_t kLaneCapacity = 1024;
+
     // One queued operation.  Owned by exactly one thread at a time —
-    // the producer until enqueue, then the drainer that dequeued it;
-    // the MS queue's linearization is the hand-off.
+    // the producer until its cell's release store, then the drainer
+    // that copied it out into its batch.
     struct Request {
         OpKind op;  // tamp-lint: allow(plain-shared-member)
         K key;
@@ -294,77 +399,120 @@ class Pipeline {
         }
     }
 
-    /// Launch one self-rescheduling drainer task per lane.  Each task
-    /// processes a batch then resubmits itself, so pool workers stay
-    /// available for other work between batches.
+    Pipeline(const Pipeline&) = delete;
+    Pipeline& operator=(const Pipeline&) = delete;
+
+    ~Pipeline() {
+        if (!stop_.load(std::memory_order_relaxed)) stop();
+    }
+
+    /// Launch the drainers: one long-lived pool task per lane, at most
+    /// one per worker.
     void start() {
+        assert(stop_.load(std::memory_order_relaxed) && "already started");
         stop_.store(false, std::memory_order_release);
-        for (std::size_t i = 0; i < lanes_.size(); ++i) {
-            pool_->submit([this, i] { drain_lane(i); });
+        const std::size_t drainers = std::min(lanes_.size(), pool_->workers());
+        for (std::size_t d = 0; d < drainers; ++d) {
+            pool_->submit([this, d] { drainer(d); });
         }
     }
 
     /// Producer side: enqueue one request (lane picked round-robin by
-    /// the producer's own counter in `lane_hint`).
+    /// the producer's own counter in `lane_hint`).  Waits while the lane
+    /// is full.
     void submit(OpKind op, const K& key, const V& val,
                 std::uint64_t lane_hint) {
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        lanes_[lane_hint % lanes_.size()]->queue.enqueue(
+        lanes_[lane_hint % lanes_.size()]->ring.push(
             Request{op, key, val, obs::tick()});
     }
 
     /// Wait until every submitted request completed.
     void drain() {
         SpinWait w;
-        while (completed_.load(std::memory_order_acquire) <
-               submitted_.load(std::memory_order_acquire)) {
-            w.spin();
-        }
+        while (completed() < submitted()) w.spin();
     }
 
-    /// Stop the drainer tasks and quiesce the pool.
+    /// Drain, then end the drainer tasks and quiesce the pool.
     void stop() {
         drain();
         stop_.store(true, std::memory_order_release);
         pool_->wait_idle();
     }
 
+    /// Requests executed.  Each lane's count is acquired, so everything
+    /// a drainer wrote while executing a counted request is visible to
+    /// the caller (the counts grow by release RMWs only, so one acquire
+    /// orders every batch counted so far, whichever drainer ran it).
     std::uint64_t completed() const {
-        return completed_.load(std::memory_order_acquire);
+        std::uint64_t n = 0;
+        for (const auto& lane : lanes_) {
+            n += lane->done.load(std::memory_order_acquire);
+        }
+        return n;
     }
     std::uint64_t submitted() const {
-        return submitted_.load(std::memory_order_acquire);
+        std::uint64_t n = 0;
+        for (const auto& lane : lanes_) n += lane->ring.pushed();
+        return n;
     }
 
   private:
+    static constexpr std::size_t kBatch = 64;
+
     struct Lane {
-        LockFreeQueue<Request> queue;
+        detail::LaneRing<Request, kLaneCapacity> ring;
+        // Held by the one drainer that is the ring's consumer.
+        alignas(kCacheLineSize) tamp::atomic<bool> busy{false};
+        // Requests executed; bumped once per batch by its drainer.
+        alignas(kCacheLineSize) tamp::atomic<std::uint64_t> done{0};
     };
 
-    void drain_lane(std::size_t i) {
-        constexpr int kBatch = 64;
+    void drainer(std::size_t home) {
+        std::vector<Request> batch(kBatch);
         std::vector<std::pair<K, V>> scan_buf;
-        Request r{};
-        for (int n = 0; n < kBatch; ++n) {
-            if (!lanes_[i]->queue.try_dequeue(r)) break;
+        SpinWait idle;
+        while (!stop_.load(std::memory_order_acquire)) {
+            bool worked = false;
+            for (std::size_t k = 0; k < lanes_.size(); ++k) {
+                worked |= drain_batch(*lanes_[(home + k) % lanes_.size()],
+                                      batch, scan_buf);
+            }
+            if (worked) {
+                idle.reset();
+            } else {
+                idle.spin();
+            }
+        }
+    }
+
+    /// Take up to kBatch requests of `lane` unless another drainer holds
+    /// it, then run them with the lane released; true if any ran.
+    bool drain_batch(Lane& lane, std::vector<Request>& batch,
+                     std::vector<std::pair<K, V>>& scan_buf) {
+        if (lane.busy.load(std::memory_order_relaxed) ||
+            lane.busy.exchange(true, std::memory_order_acquire)) {
+            return false;
+        }
+        std::size_t n = 0;
+        while (n < kBatch && lane.ring.try_pop(batch[n])) ++n;
+        lane.busy.store(false, std::memory_order_release);
+        if (n == 0) return false;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Request& r = batch[i];
             workload_->execute(r.op, r.key, r.val, scan_buf);
             if (r.t_submit != 0) {
                 obs::record_since<obs::ev::kv_sojourn_ns>(r.t_submit);
             }
-            completed_.fetch_add(1, std::memory_order_release);
         }
-        if (!stop_.load(std::memory_order_acquire)) {
-            pool_->submit([this, i] { drain_lane(i); });
-        }
+        lane.done.fetch_add(n, std::memory_order_release);
+        return true;
     }
 
     Store* const store_;
     Workload<Store>* const workload_;
     WorkStealingPool* const pool_;
     std::vector<std::unique_ptr<Lane>> lanes_;
-    alignas(kCacheLineSize) tamp::atomic<std::uint64_t> submitted_{0};
-    alignas(kCacheLineSize) tamp::atomic<std::uint64_t> completed_{0};
-    tamp::atomic<bool> stop_{false};
+    tamp::atomic<bool> stop_{true};
 };
 
 }  // namespace tamp::kv

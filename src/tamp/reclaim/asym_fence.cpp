@@ -27,12 +27,14 @@ BarrierStats g_stats;
 
 std::atomic<bool> g_inited{false};
 
+#if TAMP_ASYM_FENCE_AVAILABLE
 bool env_disabled() {
     const char* v = std::getenv("TAMP_ASYMMETRIC_FENCE");
     if (v == nullptr) return false;
     return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
            std::strcmp(v, "OFF") == 0;
 }
+#endif
 
 }  // namespace
 

@@ -174,6 +174,19 @@ TEST(Cuckoo, SurvivesDisplacementChains) {
     EXPECT_GT(s.capacity(), 8u);
 }
 
+TEST(Cuckoo, ConcurrentAddsRaceResizes) {
+    // Four adders from capacity 8: resizes start on several threads at
+    // once, each reading the capacity before it takes the stripes.
+    StripedCuckooHashSet<int> s(8);
+    run_threads(4, [&](std::size_t me) {
+        for (int k = 0; k < 2000; ++k) {
+            ASSERT_TRUE(s.add(static_cast<int>(me) * 2000 + k));
+        }
+    });
+    for (int v = 0; v < 8000; ++v) EXPECT_TRUE(s.contains(v)) << v;
+    EXPECT_GT(s.capacity(), 8u);
+}
+
 TEST(RefinableHash, ConcurrentResizeStress) {
     // Many threads all pushing through resize thresholds at once.
     RefinableHashSet<int> s(4);

@@ -2,7 +2,8 @@
 //
 // The KV service layer (tamp/kv): SplitOrderedMap growth and churn,
 // KvStore shard routing and multi_update atomicity, the YCSB-style
-// workload generator, and the open-loop MS-queue/work-stealing pipeline.
+// workload generator, and the open-loop pipeline (bounded lanes drained
+// by long-lived work-stealing pool tasks).
 //
 // The growth test is the PR's acceptance check: the map grows from 2^4
 // buckets to 2^20 keys while the counting domain proves no node was
@@ -14,10 +15,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -296,6 +299,116 @@ TEST(KvPipeline, OpenLoopDrainsEverySubmittedRequest) {
     pipe.stop();  // drains, then parks the lane tasks
     EXPECT_EQ(pipe.completed(), producers * kOps);
     EXPECT_GE(store.size(), cfg.key_space);
+}
+
+// A store that tallies how often each key is read, so the pipeline tests
+// below can check that every request runs exactly once.  The first
+// `slow_reads` reads sleep, stalling the drainer while its lane fills.
+struct TallyStore {
+    using key_type = std::uint64_t;
+    using mapped_type = std::uint64_t;
+
+    explicit TallyStore(std::size_t keys, int slow_reads = 0)
+        : tally(keys), slow(slow_reads) {}
+
+    std::optional<std::uint64_t> get(std::uint64_t k) {
+        if (slow.fetch_sub(1, std::memory_order_relaxed) > 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        tally[k].fetch_add(1, std::memory_order_relaxed);
+        return k;
+    }
+    bool put(std::uint64_t, std::uint64_t) { return true; }
+    std::size_t scan(std::uint64_t, std::size_t, Pairs&) { return 0; }
+
+    /// Keys [0, n) each read exactly once.
+    bool each_once(std::size_t n) const {
+        for (std::size_t k = 0; k < tally.size(); ++k) {
+            if (tally[k].load() != (k < n ? 1 : 0)) return false;
+        }
+        return true;
+    }
+
+    std::vector<std::atomic<int>> tally;
+    std::atomic<int> slow;
+};
+
+// The generator draws nothing here: every request is a read of a key
+// the test chooses, so the sampler is sized to nothing.
+tamp::kv::Workload<TallyStore> tally_workload(TallyStore& store) {
+    tamp::kv::WorkloadConfig cfg;
+    cfg.key_space = 2;
+    return tamp::kv::Workload<TallyStore>(store, cfg);
+}
+
+using TallyPipeline = tamp::kv::Pipeline<TallyStore>;
+
+// More lanes than workers, and more producers than lanes: the two
+// drainers must scan all five lanes, and producers share every lane.
+TEST(KvPipeline, MoreLanesThanWorkersRunsEachRequestOnce) {
+    constexpr std::size_t kProducers = 3;
+    constexpr std::uint64_t kOps = 20000;
+    TallyStore store(kProducers * kOps);
+    auto wl = tally_workload(store);
+    tamp::WorkStealingPool pool(2);
+    TallyPipeline pipe(store, wl, pool, /*lanes=*/5);
+    pipe.start();
+    run_threads(kProducers, [&](std::size_t me) {
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+            pipe.submit(tamp::kv::OpKind::kRead, me * kOps + i, 0, i);
+        }
+    });
+    pipe.stop();
+    EXPECT_EQ(pipe.submitted(), kProducers * kOps);
+    EXPECT_EQ(pipe.completed(), pipe.submitted());
+    EXPECT_TRUE(store.each_once(kProducers * kOps));
+}
+
+// A stalled drainer fills its lane: submit() waits for free cells
+// instead of overwriting or dropping requests.
+TEST(KvPipeline, FullLaneMakesSubmitWaitWithoutLoss) {
+    constexpr std::uint64_t kOps = 4 * TallyPipeline::kLaneCapacity;
+    TallyStore store(kOps, /*slow_reads=*/8);
+    auto wl = tally_workload(store);
+    tamp::WorkStealingPool pool(1);
+    TallyPipeline pipe(store, wl, pool, /*lanes=*/1);
+    pipe.start();
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        pipe.submit(tamp::kv::OpKind::kRead, i, 0, 0);
+    }
+    pipe.stop();
+    EXPECT_EQ(pipe.completed(), kOps);
+    EXPECT_TRUE(store.each_once(kOps));
+}
+
+// stop() ends the drainers, idle or not, and hands the workers back:
+// the pool then runs ordinary tasks, and the pipeline starts again.
+TEST(KvPipeline, StopReturnsThePoolAndRestarts) {
+    constexpr std::uint64_t kOps = 1000;
+    TallyStore store(2 * kOps);
+    auto wl = tally_workload(store);
+    tamp::WorkStealingPool pool(2);
+    TallyPipeline pipe(store, wl, pool, /*lanes=*/2);
+    pipe.start();
+    pipe.stop();  // drainers idle: must exit promptly
+    pipe.start();
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        pipe.submit(tamp::kv::OpKind::kRead, i, 0, i);
+    }
+    pipe.stop();
+
+    std::atomic<bool> ran{false};
+    pool.submit([&] { ran.store(true); });
+    pool.wait_idle();
+    EXPECT_TRUE(ran.load());
+
+    pipe.start();
+    for (std::uint64_t i = kOps; i < 2 * kOps; ++i) {
+        pipe.submit(tamp::kv::OpKind::kRead, i, 0, i);
+    }
+    pipe.stop();
+    EXPECT_EQ(pipe.completed(), 2 * kOps);
+    EXPECT_TRUE(store.each_once(2 * kOps));
 }
 
 }  // namespace

@@ -328,9 +328,12 @@ class BrokenStack {
         // containers): a concurrent popper reads the same top here.
         std::this_thread::yield();
         // BUG (seeded): the CAS result is ignored instead of retried, so
-        // a lost race still returns top's value.
+        // a lost race still returns top's value.  The CAS works on a copy:
+        // a lost CAS overwrites `seen` (possibly with null), while `top`
+        // still names a node, and nodes are never freed before the stack.
+        Node* seen = top;
         top_.compare_exchange_strong(  // tamp-lint: allow(cas-strong-loop)
-            top, top->next, std::memory_order_acq_rel,
+            seen, top->next, std::memory_order_acq_rel,
             std::memory_order_acquire);
         out = top->value;
         return true;

@@ -30,6 +30,7 @@ TEST(SimBugs, RequiresTampSimBuild) {
 #include <vector>
 
 #include "tamp/core/backoff.hpp"
+#include "tamp/kv/workload.hpp"
 #include "tamp/queues/ms_queue.hpp"
 #include "tamp/spin/backoff_lock.hpp"
 #include "tamp/spin/clh.hpp"
@@ -1063,6 +1064,71 @@ TEST(SimBugs, SentinelLinkedBeforePublishPassesExhaustively) {
     const auto res = sim::explore(opts, racing_bucket_init_body<false>);
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
+}
+
+// ===========================================================================
+// Bug 10 — open-loop lane ring whose consumer frees its cell before
+// copying the request out: the sequence store hands the cell to the
+// producer one lap ahead, whose write can land before (or during) the
+// copy.  Built from the real kv::detail::LaneRing's front()/pop() steps,
+// called in the wrong order; its try_pop() is the fixed twin.
+// ===========================================================================
+
+template <bool FreeFirst>
+void lane_ring_body() {
+    tamp::kv::detail::LaneRing<int, 2> ring;
+    sim::thread producer([&] {
+        for (int v = 1; v <= 3; ++v) ring.push(v);
+    });
+    sim::thread consumer([&] {
+        tamp::SpinWait w;
+        for (int want = 1; want <= 3;) {
+            const tamp::shared<int>* cell = ring.front();
+            if (cell == nullptr) {
+                w.spin();
+                continue;
+            }
+            int v = 0;
+            if constexpr (FreeFirst) {
+                ring.pop();  // BUG: the cell is the producer's from here
+                v = *cell;
+            } else {
+                v = *cell;
+                ring.pop();
+            }
+            sim::assert_always(v == want, "lane cell overwritten before "
+                                          "the consumer copied it out");
+            ++want;
+        }
+    });
+    producer.join();
+    consumer.join();
+}
+
+TEST(SimBugs, LaneRingFreeBeforeCopyLosesRequest) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, lane_ring_body<true>);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_TRUE(res.kind == sim::ViolationKind::kRace ||
+                res.kind == sim::ViolationKind::kAssert)
+        << res.message;
+
+    const auto again = sim::replay(opts, res, lane_ring_body<true>);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
+}
+
+// The fixed twin — copy, then free, the order LaneRing::try_pop uses —
+// survives the same exploration exhaustively.
+TEST(SimBugs, LaneRingCopyBeforeFreePassesExhaustively) {
+    sim::ExploreOptions opts;
+    const auto res = sim::explore(opts, lane_ring_body<false>);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+    EXPECT_EQ(res.races_found, 0u);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ TEST(Sim, RequiresTampSimBuild) {
 #include "tamp/check/specs.hpp"
 #include "tamp/hash/split_ordered.hpp"
 #include "tamp/kv/split_ordered_map.hpp"
+#include "tamp/kv/workload.hpp"
 #include "tamp/mutex/peterson.hpp"
 #include "tamp/queues/ms_queue.hpp"
 #include "tamp/spin/tas.hpp"
@@ -703,7 +704,7 @@ TEST(SimDpor, MatchesBruteForceVerdictsWithFewerSchedules) {
 struct NullReclaim {
     static constexpr bool kProtects = false;
     struct guard {
-        guard() = default;
+        guard() {}
         guard(const guard&) = delete;
         guard& operator=(const guard&) = delete;
     };
@@ -810,6 +811,57 @@ TEST(SimSplitOrderedSet, RacingLazyBucketInitsSeeFullyLinkedSentinels) {
         sim::assert_always(set.contains(1) && set.contains(3),
                            "a key vanished after the sentinel race");
         sim::assert_always(set.size() == 2, "size() drifted");
+    });
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_GT(res.executions, 1);
+}
+
+// ---------------------------------------------------------------------------
+// tamp::kv — the open-loop lane ring wraps without losing a request
+// ---------------------------------------------------------------------------
+
+// Six values through two cells: every cell is reused, so the explorer
+// drives a producer waiting for a cell the consumer has not freed yet, a
+// producer preempted between its ticket and its publish (the consumer
+// must wait on that cell, not skip it), and both producers racing for
+// the same lap.  The payload is a tamp::shared field, so any copy-out
+// unordered with the next lap's write is reported as a race
+// (tests/sim_bugs_test.cpp seeds exactly that twin).
+using SimLaneRing = tamp::kv::detail::LaneRing<int, 2>;
+
+TEST(SimKv, LaneRingWrapsWithoutLoss) {
+    sim::ExploreOptions opts;
+    opts.max_executions = 20000;
+    auto res = sim::explore(opts, [] {
+        SimLaneRing ring;
+        auto produce = [&](int first) {
+            for (int v = first; v < first + 3; ++v) ring.push(v);
+        };
+        int got[6] = {};
+        sim::thread a([&] { produce(10); });
+        sim::thread b([&] { produce(20); });
+        sim::thread consumer([&] {
+            tamp::SpinWait w;
+            for (int n = 0; n < 6;) {
+                if (ring.try_pop(got[n])) {
+                    ++n;
+                } else {
+                    w.spin();
+                }
+            }
+        });
+        a.join();
+        b.join();
+        consumer.join();
+        // Each producer's values arrive once each, in push order.
+        int next_a = 10;
+        int next_b = 20;
+        for (int v : got) {
+            int& next = v < 20 ? next_a : next_b;
+            sim::assert_always(v == next, "a value was lost, repeated or "
+                                          "reordered within its producer");
+            ++next;
+        }
     });
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_GT(res.executions, 1);
